@@ -43,7 +43,7 @@ from repro.core.formulas import (
     RESULT_VARIABLES,
     Value,
 )
-from repro.core.scopes import RuleMatch, RuleRepository
+from repro.core.scopes import MatchMemo, RuleMatch, RuleRepository
 from repro.core.statistics import (
     ATTRIBUTE_STATISTICS,
     COLLECTION_STATISTICS,
@@ -440,10 +440,12 @@ class _Estimation:
         estimator: "CostEstimator",
         sources: Mapping[int, str | None],
         bound_ms: float | None,
+        match_memo: MatchMemo | None,
     ) -> None:
         self.estimator = estimator
         self.sources = sources
         self.bound_ms = bound_ms
+        self.match_memo = match_memo
         self.estimates: dict[int, NodeEstimate] = {}
         self.in_progress: set[tuple[int, str]] = set()
         self.counters = EstimatorCounters()
@@ -518,7 +520,13 @@ class _Estimation:
     def _compute(self, node: PlanNode, variable: str) -> tuple[Value, str]:
         source = self.sources.get(node.node_id)
         self.counters.match_attempts += 1
-        matches = self.estimator.repository.matches_providing(node, source, variable)
+        memo = self.match_memo
+        memo_key = (node.node_id, source, variable)
+        matches = memo.get(memo_key) if memo is not None else None
+        if matches is None:
+            matches = self.estimator.repository.matches_providing(node, source, variable)
+            if memo is not None:
+                memo[memo_key] = matches
         if not matches:
             raise NoApplicableRuleError(
                 f"no rule provides {variable} for {node.describe()} "
@@ -661,6 +669,7 @@ class CostEstimator:
         default_source: str | None = None,
         bound_ms: float | None = None,
         variables: tuple[str, ...] = ("TotalTime", "CountObject", "TotalSize"),
+        match_memo: MatchMemo | None = None,
     ) -> PlanEstimate:
         """Cost a plan.
 
@@ -672,6 +681,11 @@ class CostEstimator:
             bound_ms: §4.3.2 pruning bound — estimation aborts as soon as
                 any computed TotalTime exceeds it.
             variables: which root variables the caller needs.
+            match_memo: rule matches already resolved for these plan
+                nodes (see :data:`~repro.core.scopes.MatchMemo`); filled
+                in as nodes are resolved.  The optimizer passes one per
+                ``optimize`` call, so subplans shared by its candidates
+                resolve their rules once.
 
         Returns:
             A :class:`PlanEstimate`; ``pruned`` is True when the bound cut
@@ -680,8 +694,12 @@ class CostEstimator:
         hotpath = self.hotpath
         if hotpath.enabled:
             with hotpath.phase("estimate"):
-                return self._estimate_traced(plan, default_source, bound_ms, variables)
-        return self._estimate_traced(plan, default_source, bound_ms, variables)
+                return self._estimate_traced(
+                    plan, default_source, bound_ms, variables, match_memo
+                )
+        return self._estimate_traced(
+            plan, default_source, bound_ms, variables, match_memo
+        )
 
     def _estimate_traced(
         self,
@@ -689,13 +707,18 @@ class CostEstimator:
         default_source: str | None,
         bound_ms: float | None,
         variables: tuple[str, ...],
+        match_memo: MatchMemo | None,
     ) -> PlanEstimate:
         tracer = self.tracer
         if not tracer.enabled:
-            return self._estimate(plan, default_source, bound_ms, variables)
+            return self._estimate(
+                plan, default_source, bound_ms, variables, match_memo
+            )
         span = tracer.start("estimate", kind="estimate", plan=plan.describe())
         try:
-            result = self._estimate(plan, default_source, bound_ms, variables)
+            result = self._estimate(
+                plan, default_source, bound_ms, variables, match_memo
+            )
         except Exception:
             tracer.end(span, error=True)
             raise
@@ -715,9 +738,10 @@ class CostEstimator:
         default_source: str | None,
         bound_ms: float | None,
         variables: tuple[str, ...],
+        match_memo: MatchMemo | None,
     ) -> PlanEstimate:
         sources = self._assign_sources(plan, default_source)
-        estimation = _Estimation(self, sources, bound_ms)
+        estimation = _Estimation(self, sources, bound_ms, match_memo)
         pruned = False
         try:
             if self.options.propagate_required:

@@ -52,6 +52,7 @@ from repro.algebra.logical import (
 )
 from repro.algebra.logical import Union
 from repro.core.estimator import CostEstimator, PlanEstimate
+from repro.core.scopes import MatchMemo
 from repro.errors import QueryError
 from repro.mediator.catalog import MediatorCatalog, PartitionScheme
 from repro.mediator.queryspec import QuerySpec, UnionSpec
@@ -117,6 +118,20 @@ class OptimizationResult:
 
 
 @dataclass
+class _Planning:
+    """State of one ``optimize`` call, handed to every costing in it.
+
+    ``matches`` memoizes rule resolution: the enumeration shares subplan
+    objects across candidates, so most (node, variable) lookups repeat.
+    It lives here rather than on the shared estimator or repository
+    because concurrent tenants optimize on their own threads.
+    """
+
+    matches: MatchMemo
+    stats: OptimizerStats = field(default_factory=OptimizerStats)
+
+
+@dataclass
 class _Candidate:
     plan: PlanNode
     estimate: PlanEstimate
@@ -152,27 +167,37 @@ class Optimizer:
 
     def optimize(self, spec: QuerySpec | UnionSpec) -> OptimizationResult:
         """Choose the cheapest complete plan for a query."""
-        result = self._optimize_any(spec)
+        # Subplan-cache entries are keyed on node ids, and a new query
+        # builds new nodes: older entries could never hit again.
+        self.estimator.invalidate_cache()
+        result = self._optimize_any(spec, {})
         if not self.catalog.has_replicas():
             # No replica sets: the chosen plan and estimate pass through
             # untouched — the replica layer is entirely inert.
             return result
         return self._bind_replicas(result)
 
-    def _optimize_any(self, spec: QuerySpec | UnionSpec) -> OptimizationResult:
+    def _optimize_any(
+        self, spec: QuerySpec | UnionSpec, matches: MatchMemo
+    ) -> OptimizationResult:
         if isinstance(spec, UnionSpec):
-            return self._optimize_union(spec)
-        stats = OptimizerStats()
-        join_plan = self._best_join_plan(spec, stats)
-        candidates = self._decorated_candidates(spec, join_plan, stats)
+            return self._optimize_union(spec, matches)
+        run = _Planning(matches)
+        join_plan = self._best_join_plan(spec, run)
+        candidates = self._decorated_candidates(spec, join_plan, run)
         best = min(candidates, key=lambda c: c.cost)
-        return OptimizationResult(plan=best.plan, estimate=best.estimate, stats=stats)
+        return OptimizationResult(
+            plan=best.plan, estimate=best.estimate, stats=run.stats
+        )
 
-    def _optimize_union(self, spec: UnionSpec) -> OptimizationResult:
+    def _optimize_union(self, spec: UnionSpec, matches: MatchMemo) -> OptimizationResult:
         """Optimize each branch independently, then combine (§2.2's union
         operator runs at the mediator)."""
-        stats = OptimizerStats()
-        branch_results = [self._optimize_any(branch) for branch in spec.branches]
+        run = _Planning(matches)
+        stats = run.stats
+        branch_results = [
+            self._optimize_any(branch, matches) for branch in spec.branches
+        ]
         plan: PlanNode = branch_results[0].plan
         for result in branch_results[1:]:
             plan = Union(plan, result.plan)
@@ -183,7 +208,7 @@ class Optimizer:
             stats.candidates_pruned += result.stats.candidates_pruned
             stats.variables_computed += result.stats.variables_computed
             stats.formulas_evaluated += result.stats.formulas_evaluated
-        candidate = self._cost(plan, stats, None)
+        candidate = self._cost(plan, run, None)
         assert candidate is not None
         return OptimizationResult(
             plan=candidate.plan, estimate=candidate.estimate, stats=stats
@@ -368,28 +393,28 @@ class Optimizer:
     # -- costing helper ----------------------------------------------------------
 
     def _cost(
-        self, plan: PlanNode, stats: OptimizerStats, bound: float | None
+        self, plan: PlanNode, run: _Planning, bound: float | None
     ) -> _Candidate | None:
         """Estimate one candidate; None when pruned by the §4.3.2 bound."""
         hotpath = self.hotpath
         if hotpath.enabled:
             with hotpath.phase("candidate"):
-                return self._cost_traced(plan, stats, bound)
-        return self._cost_traced(plan, stats, bound)
+                return self._cost_traced(plan, run, bound)
+        return self._cost_traced(plan, run, bound)
 
     def _cost_traced(
-        self, plan: PlanNode, stats: OptimizerStats, bound: float | None
+        self, plan: PlanNode, run: _Planning, bound: float | None
     ) -> _Candidate | None:
         tracer = self.tracer
         if not tracer.enabled:
-            return self._cost_inner(plan, stats, bound)
+            return self._cost_inner(plan, run, bound)
         with tracer.span(
             f"candidate:{plan.operator_name}",
             kind="candidate",
             plan=plan.describe(),
             bound_ms=bound,
         ) as span:
-            candidate = self._cost_inner(plan, stats, bound)
+            candidate = self._cost_inner(plan, run, bound)
             span.set(
                 pruned=candidate is None,
                 cost_ms=candidate.cost if candidate is not None else None,
@@ -397,8 +422,9 @@ class Optimizer:
         return candidate
 
     def _cost_inner(
-        self, plan: PlanNode, stats: OptimizerStats, bound: float | None
+        self, plan: PlanNode, run: _Planning, bound: float | None
     ) -> _Candidate | None:
+        stats = run.stats
         stats.candidates_considered += 1
         first_tuple = self.options.objective == "time_first"
         bound_ms = bound if self.options.use_pruning and not first_tuple else None
@@ -406,7 +432,7 @@ class Optimizer:
         if first_tuple:
             variables = ("TimeFirst",) + variables
         estimate = self.estimator.estimate(
-            plan, bound_ms=bound_ms, variables=variables
+            plan, bound_ms=bound_ms, variables=variables, match_memo=run.matches
         )
         stats.variables_computed += self.estimator.last_counters.variables_computed
         stats.formulas_evaluated += self.estimator.last_counters.formulas_evaluated
@@ -571,25 +597,25 @@ class Optimizer:
 
     # -- join enumeration --------------------------------------------------------------
 
-    def _best_join_plan(self, spec: QuerySpec, stats: OptimizerStats) -> _Candidate:
+    def _best_join_plan(self, spec: QuerySpec, run: _Planning) -> _Candidate:
         collections = spec.collections
         if len(collections) == 1:
             plan = self._access_plan(spec, collections[0])
-            candidate = self._cost(plan, stats, None)
+            candidate = self._cost(plan, run, None)
             assert candidate is not None
             return candidate
         if len(collections) <= self.options.max_exhaustive_collections:
-            return self._dynamic_programming(spec, stats)
-        return self._greedy_chain(spec, stats)
+            return self._dynamic_programming(spec, run)
+        return self._greedy_chain(spec, run)
 
     def _dynamic_programming(
-        self, spec: QuerySpec, stats: OptimizerStats
+        self, spec: QuerySpec, run: _Planning
     ) -> _Candidate:
         collections = spec.collections
         best: dict[frozenset[str], _Candidate] = {}
         for collection in collections:
             plan = self._access_plan(spec, collection)
-            candidate = self._cost(plan, stats, None)
+            candidate = self._cost(plan, run, None)
             assert candidate is not None
             best[frozenset([collection])] = candidate
 
@@ -599,7 +625,7 @@ class Optimizer:
                 current: _Candidate | None = None
                 # Pushed-down whole-subset subquery at a single wrapper.
                 if self.options.push_joins_to_wrappers:
-                    current = self._pushed_candidate(spec, list(subset), stats, current)
+                    current = self._pushed_candidate(spec, list(subset), run, current)
                 # Mediator joins over every split with a connecting predicate.
                 for left_size in range(1, size):
                     for left_subset in itertools.combinations(subset, left_size):
@@ -618,7 +644,7 @@ class Optimizer:
                         for extra in connecting[1:]:
                             plan = Select(plan, extra)
                         bound = current.cost if current is not None else None
-                        candidate = self._cost(plan, stats, bound)
+                        candidate = self._cost(plan, run, bound)
                         if candidate is not None and (
                             current is None or candidate.cost < current.cost
                         ):
@@ -628,7 +654,7 @@ class Optimizer:
                         )
                         if bind_plan is not None:
                             bound = current.cost if current is not None else None
-                            candidate = self._cost(bind_plan, stats, bound)
+                            candidate = self._cost(bind_plan, run, bound)
                             if candidate is not None and (
                                 current is None or candidate.cost < current.cost
                             ):
@@ -639,14 +665,14 @@ class Optimizer:
         full = frozenset(collections)
         if full not in best:
             # Disconnected join graph: fall back to cartesian chaining.
-            return self._cartesian_fallback(spec, best, stats)
+            return self._cartesian_fallback(spec, best, run)
         return best[full]
 
     def _pushed_candidate(
         self,
         spec: QuerySpec,
         subset: list[str],
-        stats: OptimizerStats,
+        run: _Planning,
         current: _Candidate | None,
     ) -> _Candidate | None:
         wrappers = {self._single_wrapper_for(c) for c in subset}
@@ -659,7 +685,7 @@ class Optimizer:
         if inner is None:
             return current
         bound = current.cost if current is not None else None
-        candidate = self._cost(Submit(inner, wrapper.name), stats, bound)
+        candidate = self._cost(Submit(inner, wrapper.name), run, bound)
         if candidate is not None and (
             current is None or candidate.cost < current.cost
         ):
@@ -711,12 +737,12 @@ class Optimizer:
             plan = Select(plan, extra)
         return plan
 
-    def _greedy_chain(self, spec: QuerySpec, stats: OptimizerStats) -> _Candidate:
+    def _greedy_chain(self, spec: QuerySpec, run: _Planning) -> _Candidate:
         """Greedy join ordering for very wide queries: start from the
         cheapest access plan, repeatedly join the cheapest connected
         extension."""
         pending = {
-            collection: self._cost(self._access_plan(spec, collection), stats, None)
+            collection: self._cost(self._access_plan(spec, collection), run, None)
             for collection in spec.collections
         }
         placed_name, current = min(
@@ -736,7 +762,7 @@ class Optimizer:
                 for extra in connecting[1:]:
                     plan = Select(plan, extra)
                 bound = extension[1].cost if extension is not None else None
-                candidate = self._cost(plan, stats, bound)
+                candidate = self._cost(plan, run, bound)
                 if candidate is not None and (
                     extension is None or candidate.cost < extension[1].cost
                 ):
@@ -756,7 +782,7 @@ class Optimizer:
         self,
         spec: QuerySpec,
         best: dict[frozenset[str], _Candidate],
-        stats: OptimizerStats,
+        run: _Planning,
     ) -> _Candidate:
         raise QueryError(
             "the join graph is disconnected; add join predicates "
@@ -766,13 +792,13 @@ class Optimizer:
     # -- decorations -------------------------------------------------------------------
 
     def _decorated_candidates(
-        self, spec: QuerySpec, join_candidate: _Candidate, stats: OptimizerStats
+        self, spec: QuerySpec, join_candidate: _Candidate, run: _Planning
     ) -> list[_Candidate]:
         """Apply grouping/distinct/sort/projection; for single-collection
         queries also try pushing the whole pipeline into the wrapper."""
         candidates: list[_Candidate] = []
         mediator_plan = self._decorate(spec, join_candidate.plan)
-        candidate = self._cost(mediator_plan, stats, None)
+        candidate = self._cost(mediator_plan, run, None)
         assert candidate is not None
         candidates.append(candidate)
 
@@ -797,7 +823,7 @@ class Optimizer:
                 if filters:
                     inner = Select(inner, conjunction(list(filters)))
                 pushed = Submit(self._decorate(spec, inner), wrapper.name)
-                candidate = self._cost(pushed, stats, candidates[0].cost)
+                candidate = self._cost(pushed, run, candidates[0].cost)
                 if candidate is not None:
                     candidates.append(candidate)
         return candidates

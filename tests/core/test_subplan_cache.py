@@ -102,3 +102,53 @@ class TestCaching:
         mediator.register(build_oo7_wrapper(export_rules=True))
         after = mediator.plan(sql).estimated_total_ms
         assert after != before  # new rules visible despite the cache
+
+
+def ad_hoc_query(index: int) -> str:
+    """Query ``index`` of a stream of distinct ad-hoc queries (five
+    shapes, literals drawn from the index)."""
+    shapes = (
+        f"SELECT * FROM AtomicParts WHERE Id = {index}",
+        f"SELECT oid, supplier, qty FROM Orders WHERE oid = {100 + index}",
+        "SELECT Orders.oid, Suppliers.partType FROM Orders, Suppliers "
+        "WHERE Orders.supplier = Suppliers.sid "
+        f"AND Orders.oid BETWEEN {10 * index} AND {10 * index + 50}",
+        "SELECT Orders.oid, Tickets.tid FROM Orders, Suppliers, Tickets "
+        "WHERE Orders.supplier = Suppliers.sid AND Tickets.supplier = Suppliers.sid "
+        f"AND Orders.qty < {20 + index}",
+        "SELECT AtomicParts.Id, Suppliers.sid FROM AtomicParts, Suppliers "
+        "WHERE AtomicParts.type = Suppliers.partType "
+        f"AND AtomicParts.Id BETWEEN {index} AND {index + 10}",
+    )
+    return shapes[index % len(shapes)]
+
+
+class TestBoundedAcrossQueries:
+    """Entries are keyed on node ids, which never recur across queries;
+    the cache must not keep earlier queries' entries (and plan trees)."""
+
+    @staticmethod
+    def cached_federation():
+        from repro.bench.federation import build_engines, build_mediator
+        from repro.oo7 import TINY
+
+        mediator = build_mediator("blended", build_engines(TINY))
+        mediator.estimator.options.cache_subplans = True
+        mediator.estimator.subplan_cache = {}
+        return mediator
+
+    def test_cache_holds_one_query_of_entries(self):
+        mediator = self.cached_federation()
+        sizes = []
+        for index in range(50):
+            mediator.query(ad_hoc_query(index))
+            sizes.append(len(mediator.estimator.subplan_cache))
+        alone = []
+        for index in range(5):
+            fresh = self.cached_federation()
+            fresh.query(ad_hoc_query(index))
+            alone.append(len(fresh.estimator.subplan_cache))
+        assert min(alone) > 0
+        assert max(sizes) <= max(alone)
+        # The last query's entries and nothing older.
+        assert sizes[-1] == alone[49 % 5]
